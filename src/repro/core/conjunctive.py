@@ -204,7 +204,7 @@ def solve_conjunctive_approx(graph: LabeledGraph, grammar: ConjunctiveGrammar,
             break
 
     return ContextFreeRelations(
-        graph, {nt: matrix.to_pair_set() for nt, matrix in matrices.items()
+        graph, {nt: matrix for nt, matrix in matrices.items()
                 if nt not in aux_set}
     )
 
@@ -240,9 +240,7 @@ def solve_conjunctive_reference(graph: LabeledGraph,
                 matrices[rule.head] = updated
                 changed = True
 
-    return ContextFreeRelations(
-        graph, {nt: matrix.to_pair_set() for nt, matrix in matrices.items()}
-    )
+    return ContextFreeRelations(graph, matrices)
 
 
 def anbncn_grammar() -> ConjunctiveGrammar:

@@ -15,7 +15,10 @@ Typical use::
 
 The engine normalizes the grammar a single time, caches the solved
 closure per (backend, strategy), and maps results back to the caller's
-node objects.
+node objects.  The cached relations are a lazy view over the closed
+matrices: ``relational("S")`` maps only ``R_S`` to node pairs, built
+from ``S``'s matrix when asked for, and the cached matrices are never
+mutated afterwards.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ class CFPQEngine:
 
     def relations(self, backend: str | None = None,
                   strategy: str | None = None) -> ContextFreeRelations:
-        """All relations ``R_A`` (including CNF helper non-terminals)."""
+        """All relations ``R_A`` (including CNF helper non-terminals),
+        each built from its closed matrix on first access."""
         return self.solve(backend, strategy).relations
 
     def relational(self, start: Nonterminal | str,
@@ -110,8 +114,11 @@ class CFPQEngine:
 
     def count(self, start: Nonterminal | str, backend: str | None = None,
               strategy: str | None = None) -> int:
-        """``|R_S|`` — the paper's #results."""
-        return len(self.relational(start, backend, strategy))
+        """``|R_S|`` — the paper's #results, read off the closed matrix
+        without building any pair set."""
+        start_nt = _as_nonterminal(start)
+        self.grammar.require_nonterminal(start_nt)
+        return self.relations(backend, strategy).count(start_nt)
 
     # ------------------------------------------------------------------
     # Single-path semantics (Section 5)

@@ -774,7 +774,7 @@ class IncrementalCFPQ:
         """The current relations ``R_A`` (always at fixpoint)."""
         return ContextFreeRelations(
             self.graph,
-            {nt: set(self._facts.get(nt, ())) for nt in self.grammar.nonterminals},
+            {nt: self._facts.get(nt, ()) for nt in self.grammar.nonterminals},
         )
 
     def pairs(self, nonterminal: Nonterminal | str) -> frozenset[tuple[int, int]]:

@@ -21,6 +21,12 @@ iteration order from a closure *strategy*
 propagation, the default), ``naive`` (the literal loop above, kept as
 the differential oracle) or ``blocked`` (tiled products with a bounded
 working set).
+
+The result's :class:`~repro.core.relations.ContextFreeRelations` is a
+view over the closed matrices: a relation ``R_A`` is turned into pairs
+only when ``A`` is asked for.  The view shares the matrices with
+:attr:`MatrixCFPQResult.matrices`, so neither may be mutated after the
+solve.
 """
 
 from __future__ import annotations
@@ -72,7 +78,11 @@ class MatrixCFPQStats:
 
 @dataclass(frozen=True)
 class MatrixCFPQResult:
-    """Final per-non-terminal boolean matrices plus derived relations."""
+    """Final per-non-terminal boolean matrices plus derived relations.
+
+    *relations* is a lazy view over *matrices* (it holds the same
+    objects), so the matrices are read-only from here on.
+    """
 
     matrices: dict[Nonterminal, BooleanMatrix]
     relations: ContextFreeRelations
@@ -141,7 +151,9 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
     Returns
     -------
     MatrixCFPQResult
-        Per-non-terminal matrices, the relations ``R_A`` and run stats.
+        Per-non-terminal matrices, the relations ``R_A`` (a view over
+        those matrices, materialized per non-terminal on first access)
+        and run stats.
     """
     working_grammar = ensure_cnf(grammar) if normalize else grammar
     working_grammar.require_cnf("the matrix CFPQ engine")
@@ -158,10 +170,7 @@ def solve_matrix(graph: LabeledGraph, grammar: CFG,
                           strategy=strategy, **strategy_options)
     matrices = closure.matrices
 
-    relations = ContextFreeRelations(
-        graph,
-        {nt: matrix.to_pair_set() for nt, matrix in matrices.items()},
-    )
+    relations = ContextFreeRelations(graph, matrices)
     stats = MatrixCFPQStats(
         iterations=closure.iterations,
         multiplications=closure.multiplications,

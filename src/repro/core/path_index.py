@@ -179,10 +179,12 @@ class AllPathIndex:
         """Wrap already-closed witness-semiring matrices (a finished
         :func:`solve_annotated` run, or matrices re-materialized from a
         snapshot payload) as a forest index."""
-        pairs_by_nonterminal: dict[Nonterminal, set[tuple[int, int]]] = {}
+        pairs_by_nonterminal: dict[Nonterminal,
+                                   frozenset[tuple[int, int]]] = {}
         splits_index: dict[tuple[Nonterminal, int, int], tuple[Split, ...]] = {}
         for nonterminal, matrix in matrices.items():
-            pairs_by_nonterminal[nonterminal] = set(matrix.nonzero_pairs())
+            pairs_by_nonterminal[nonterminal] = frozenset(
+                matrix.nonzero_pairs())
             for i, j, witnesses in matrix.nonzero_cells():
                 splits = sorted(
                     ((entry[1], entry[2], entry[3])

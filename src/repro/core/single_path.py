@@ -22,8 +22,10 @@ the relational answer: ``naive``, semi-naive ``delta`` and tiled
 ``blocked`` all yield byte-identical annotations.
 
 A concrete path of exactly the recorded length is recovered by the
-simple recursive search the paper sketches after Theorem 5: split on
-the midpoint ``r`` and rule ``A → B C`` whose recorded lengths add up.
+simple search the paper sketches after Theorem 5: split on the midpoint
+``r`` and rule ``A → B C`` whose recorded lengths add up, then recover
+both halves.  The search keeps its pending halves on an explicit stack,
+so a witness may be longer than Python's recursion limit.
 
 :class:`SinglePathIndex` holds the annotated closure;
 :func:`extract_path` performs the search, and
@@ -33,6 +35,7 @@ the midpoint ``r`` and rule ``A → B C`` whose recorded lengths add up.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterator
 
 from ..errors import PathNotFoundError
@@ -81,6 +84,24 @@ class SinglePathIndex:
         """Total (cell, non-terminal) entries."""
         return sum(len(entries) for entries in self.cells.values())
 
+    @cached_property
+    def _edge_labels(self) -> dict[tuple[int, int], list[str]]:
+        """Edge labels by ``(source id, target id)``, built on the first
+        extraction."""
+        edge_labels: dict[tuple[int, int], list[str]] = {}
+        for i, label, j in self.graph.edges_by_id():
+            edge_labels.setdefault((i, j), []).append(label)
+        return edge_labels
+
+    @cached_property
+    def _midpoints(self) -> dict[int, list[int]]:
+        """Per row ``i``, the columns ``r`` of its non-empty cells in
+        :attr:`cells` order, built on the first extraction."""
+        midpoints: dict[int, list[int]] = {}
+        for i, r in self.cells:
+            midpoints.setdefault(i, []).append(r)
+        return midpoints
+
 
 def build_single_path_index(graph: LabeledGraph, grammar: CFG,
                             normalize: bool = True,
@@ -126,43 +147,57 @@ def extract_path(index: SinglePathIndex, nonterminal: Nonterminal | str,
         return ()
 
     grammar = index.grammar
-    edge_labels: dict[tuple[int, int], list[str]] = {}
-    for i, label, j in graph.edges_by_id():
-        edge_labels.setdefault((i, j), []).append(label)
-
-    def search(head: Nonterminal, i: int, j: int, needed: int) -> Path:
-        if needed == 1:
-            for label in edge_labels.get((i, j), ()):
-                if head in grammar.heads_for_terminal(Terminal(label)):
-                    return ((i, label, j),)
+    edge_labels = index._edge_labels
+    path: list[PathEdge] = []
+    # Goals (head, i, j, length) still to spell, leftmost on top.
+    stack = [(nonterminal, source_id, target_id, length)]
+    while stack:
+        head, i, j, needed = stack.pop()
+        if needed > 1:
+            left_goal, right_goal = _split(index, head, i, j, needed)
+            stack.append(right_goal)
+            stack.append(left_goal)
+            continue
+        for label in edge_labels.get((i, j), ()):
+            if head in grammar.heads_for_terminal(Terminal(label)):
+                path.append((i, label, j))
+                break
+        else:
             raise PathNotFoundError(
                 f"inconsistent index: no terminal edge for {head} at ({i}, {j})"
             )
-        for rule in grammar.productions_for(head):
-            if not rule.is_binary_rule:
-                continue
-            left, right = rule.body  # type: ignore[misc]
-            # Scan midpoints r with (left, l_B) ∈ a[i,r], (right, l_C) ∈ a[r,j]
-            # and l_B + l_C == needed.  Zero-length (nullable-diagonal)
-            # operands are skipped: ε-elimination guarantees an
-            # equivalent strict split, and restricting to l_B >= 1 keeps
-            # the recursion well-founded on cyclic closures.
-            for (row, r), entries in index.cells.items():
-                if row != i:
-                    continue
-                left_length = entries.get(left)  # type: ignore[arg-type]
-                if left_length is None or left_length < 1 or left_length >= needed:
-                    continue
-                right_length = index.cells.get((r, j), {}).get(right)  # type: ignore[arg-type]
-                if right_length is None or left_length + right_length != needed:
-                    continue
-                return (search(left, i, r, left_length)  # type: ignore[arg-type]
-                        + search(right, r, j, right_length))  # type: ignore[arg-type]
-        raise PathNotFoundError(
-            f"inconsistent index: cannot split ({i}, {j}) for {head} at length {needed}"
-        )
+    return tuple(path)
 
-    return search(nonterminal, source_id, target_id, length)
+
+def _split(index: SinglePathIndex, head: Nonterminal, i: int, j: int,
+           needed: int) -> tuple[tuple, tuple]:
+    """The sub-goals ``(B, i, r, l_B)`` and ``(C, r, j, l_C)`` of the
+    first rule ``head → B C`` (in rule order) and midpoint ``r`` (in
+    :attr:`SinglePathIndex.cells` order) whose recorded lengths add up
+    to *needed*.
+
+    Zero-length (nullable-diagonal) operands are skipped:
+    ε-elimination guarantees an equivalent strict split, and requiring
+    ``l_B, l_C >= 1`` makes every sub-goal strictly shorter, so the
+    search terminates on cyclic closures.
+    """
+    cells = index.cells
+    midpoints = index._midpoints.get(i, ())
+    for rule in index.grammar.productions_for(head):
+        if not rule.is_binary_rule:
+            continue
+        left, right = rule.body
+        for r in midpoints:
+            left_length = cells[(i, r)].get(left)
+            if left_length is None or left_length < 1 or left_length >= needed:
+                continue
+            right_length = cells.get((r, j), {}).get(right)
+            if right_length is None or left_length + right_length != needed:
+                continue
+            return (left, i, r, left_length), (right, r, j, right_length)
+    raise PathNotFoundError(
+        f"inconsistent index: cannot split ({i}, {j}) for {head} at length {needed}"
+    )
 
 
 def path_word(path: Path) -> tuple[str, ...]:

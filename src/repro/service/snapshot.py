@@ -597,24 +597,26 @@ def load_engine_snapshot(path: str, backend: "str | None" = None,
         decoded = iter_decoded_matrices(
             payload["relational"]["matrices"], backend=backend
         )
-        pair_sets: dict = {}
         nnz: dict = {}
         if budget is not None:
+            # The store may spill a matrix, so the relations keep their
+            # own resident pair sets.
             store = TileStore(budget_bytes=budget, spill_dir=spill_dir)
             symbols = []
+            sources: dict = {}
             for nonterminal, matrix in decoded:
                 symbols.append(nonterminal)
-                pair_sets[nonterminal] = matrix.to_pair_set()
+                sources[nonterminal] = matrix.to_pair_set()
                 nnz[nonterminal.name] = matrix.nnz()
                 store.put(SpillableMatrixMap.key_for(nonterminal), matrix)
             matrices = SpillableMatrixMap(store, symbols)
         else:
             matrices = {}
             for nonterminal, matrix in decoded:
-                pair_sets[nonterminal] = matrix.to_pair_set()
                 nnz[nonterminal.name] = matrix.nnz()
                 matrices[nonterminal] = matrix
-        relations = ContextFreeRelations(graph, pair_sets)
+            sources = matrices
+        relations = ContextFreeRelations(graph, sources)
         stats = MatrixCFPQStats(
             iterations=0,
             multiplications=0,
