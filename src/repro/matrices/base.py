@@ -157,6 +157,18 @@ class BooleanMatrix(abc.ABC):
         """All True coordinates as a frozenset."""
         return frozenset(self.nonzero_pairs())
 
+    def _checked_index(self, index: Pair) -> Pair:
+        """*index* as ``(i, j)``; ``IndexError`` when it falls outside
+        :attr:`shape`.  Negative indexes are out of range too: a cell
+        lookup never wraps, on any backend."""
+        i, j = index
+        rows, cols = self.shape
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise IndexError(
+                f"index {(i, j)} out of range for shape {self.shape}"
+            )
+        return i, j
+
     def _require_same_shape(self, other: "BooleanMatrix") -> None:
         if self.shape != other.shape:
             raise DimensionMismatchError(

@@ -133,7 +133,7 @@ class BitsetMatrix(BooleanMatrix):
         return (self._words.shape[0], self._cols)
 
     def __getitem__(self, index: Pair) -> bool:
-        i, j = index
+        i, j = self._checked_index(index)
         return bool((self._words[i, j // _WORD] >> np.uint64(j % _WORD))
                     & np.uint64(1))
 

@@ -64,7 +64,7 @@ class DenseMatrix(BooleanMatrix):
         return self._array.shape  # type: ignore[return-value]
 
     def __getitem__(self, index: Pair) -> bool:
-        return bool(self._array[index])
+        return bool(self._array[self._checked_index(index)])
 
     def nonzero_pairs(self) -> Iterator[Pair]:
         rows, cols = np.nonzero(self._array)

@@ -44,7 +44,7 @@ class PySetMatrix(BooleanMatrix):
         return self._shape
 
     def __getitem__(self, index: Pair) -> bool:
-        return index in self._pairs
+        return self._checked_index(index) in self._pairs
 
     def nonzero_pairs(self) -> Iterator[Pair]:
         return iter(self._pairs)

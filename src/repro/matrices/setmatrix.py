@@ -207,12 +207,23 @@ class RowSetMatrix(BooleanMatrix):
         self._rows = rows
         self._nnz = count
 
+    @classmethod
+    def _wrap(cls, shape: Pair, rows: dict[int, set[int]],
+              nnz: int) -> "RowSetMatrix":
+        """Adopt *rows* (``i -> {j}``, in range, *nnz* entries in all)
+        without copying or checking: the kernel fast path for row sets
+        the caller freshly owns."""
+        matrix = cls(shape, ())
+        matrix._rows = rows
+        matrix._nnz = nnz
+        return matrix
+
     @property
     def shape(self) -> Pair:
         return self._shape
 
     def __getitem__(self, index: Pair) -> bool:
-        i, j = index
+        i, j = self._checked_index(index)
         return j in self._rows.get(i, ())
 
     def nonzero_pairs(self) -> Iterator[Pair]:
@@ -334,10 +345,11 @@ class SetMatrixBackend(MatrixBackend):
 
     @staticmethod
     def _copy(matrix: "RowSetMatrix") -> "RowSetMatrix":
-        clone = RowSetMatrix(matrix._shape, ())
-        clone._rows = {i: set(columns) for i, columns in matrix._rows.items()}
-        clone._nnz = matrix._nnz
-        return clone
+        return RowSetMatrix._wrap(
+            matrix._shape,
+            {i: set(columns) for i, columns in matrix._rows.items()},
+            matrix._nnz,
+        )
 
 
 BACKEND = register_backend(SetMatrixBackend())

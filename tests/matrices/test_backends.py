@@ -48,6 +48,17 @@ class TestBasics:
         assert not matrix[(1, 1)]
         assert matrix.nnz() == 2
 
+    @pytest.mark.parametrize("index", [
+        (-1, 0), (0, -1), (-3, -3), (3, 0), (0, 3), (3, 3), (0, 64),
+    ])
+    def test_getitem_out_of_range_raises(self, backend, index,
+                                         sparse_form):
+        """Every backend rejects a cell outside ``shape`` the same way,
+        negatives included — no wrap-around, no silent False."""
+        matrix = backend.from_pairs(3, [(2, 0), (0, 2), (2, 2)])
+        with pytest.raises(IndexError):
+            matrix[index]
+
     def test_nonzero_pairs(self, backend):
         pairs = {(0, 1), (1, 2), (2, 0)}
         matrix = backend.from_pairs(3, pairs)
@@ -148,7 +159,7 @@ pair_sets = st.sets(
 
 @given(left_pairs=pair_sets, right_pairs=pair_sets)
 @settings(max_examples=100, deadline=None)
-def test_backends_agree_on_multiply(left_pairs, right_pairs):
+def test_backends_agree_on_multiply(left_pairs, right_pairs, sparse_form):
     reference = None
     for name in available_backends():
         backend = get_backend(name)
@@ -163,7 +174,7 @@ def test_backends_agree_on_multiply(left_pairs, right_pairs):
 
 @given(left_pairs=pair_sets, right_pairs=pair_sets)
 @settings(max_examples=100, deadline=None)
-def test_backends_agree_on_union(left_pairs, right_pairs):
+def test_backends_agree_on_union(left_pairs, right_pairs, sparse_form):
     expected = left_pairs | right_pairs
     for name in available_backends():
         backend = get_backend(name)
@@ -174,7 +185,7 @@ def test_backends_agree_on_union(left_pairs, right_pairs):
 
 @given(pairs=pair_sets)
 @settings(max_examples=50, deadline=None)
-def test_transpose_involution(pairs):
+def test_transpose_involution(pairs, sparse_form):
     for name in available_backends():
         backend = get_backend(name)
         matrix = backend.from_pairs(_SIZE, pairs)

@@ -7,7 +7,8 @@ read-only copy of the public constructors; external callers passing
 read-only arrays still get the copy.  The vectorized bitset product
 (gather + segmented ``bitwise_or.reduceat``) must agree bit-for-bit
 with the seed per-row/per-bit loop it replaced
-(:meth:`BitsetMatrix.multiply_rowloop`).
+(:meth:`BitsetMatrix.multiply_rowloop`).  The exact-delta and
+``mxm_into`` checks also run on both forms of the sparse backend.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import pytest
 
 from repro.matrices.bitset import BACKEND as BITSET, BitsetMatrix
 from repro.matrices.dense import BACKEND as DENSE, DenseMatrix
+from repro.matrices.sparse import BACKEND as SPARSE
+
+
+def _name(backend):
+    return backend.name
 
 
 def _random_pairs(rng, rows, cols, count):
@@ -109,35 +115,36 @@ class TestVectorizedBitsetKernels:
         assert a.multiply(b).nnz() == 0
         assert a.multiply_rowloop(b).nnz() == 0
 
+    @pytest.mark.parametrize("backend", [BITSET, SPARSE], ids=_name)
     @pytest.mark.parametrize("seed", range(4))
-    def test_mxm_into_fused_matches_unfused(self, seed):
+    def test_mxm_into_fused_matches_unfused(self, seed, backend,
+                                            sparse_form):
         rng = random.Random(0xF00D ^ seed)
         n = 40
-        a = BITSET.from_pairs(n, _random_pairs(rng, n, n, 120))
-        b = BITSET.from_pairs(n, _random_pairs(rng, n, n, 120))
+        a = backend.from_pairs(n, _random_pairs(rng, n, n, 120))
+        b = backend.from_pairs(n, _random_pairs(rng, n, n, 120))
         accum_pairs = _random_pairs(rng, n, n, 80)
-        fused_accum = BITSET.from_pairs(n, accum_pairs)
-        merged, delta = BITSET.mxm_into(a, b, fused_accum)
+        fused_accum = backend.from_pairs(n, accum_pairs)
+        merged, delta = backend.mxm_into(a, b, fused_accum)
         assert merged is fused_accum
-        expected = a.multiply(b).union(BITSET.from_pairs(n, accum_pairs))
+        expected = a.multiply(b).union(backend.from_pairs(n, accum_pairs))
         assert merged.same_pairs(expected)
         expected_delta = a.multiply(b).difference(
-            BITSET.from_pairs(n, accum_pairs))
+            backend.from_pairs(n, accum_pairs))
         assert delta.same_pairs(expected_delta)
 
+    @pytest.mark.parametrize("backend", [BITSET, DENSE, SPARSE], ids=_name)
     @pytest.mark.parametrize("seed", range(4))
-    def test_union_update_exact_delta(self, seed):
+    def test_union_update_exact_delta(self, seed, backend, sparse_form):
         rng = random.Random(0xDE17A ^ seed)
         n = 30
         base_pairs = _random_pairs(rng, n, n, 90)
         other_pairs = _random_pairs(rng, n, n, 90)
-        for backend in (BITSET, DENSE):
-            base = backend.from_pairs(n, base_pairs)
-            other = backend.from_pairs(n, other_pairs)
-            delta = base.union_update(other)
-            assert delta.to_pair_set() == \
-                frozenset(other_pairs - base_pairs)
-            assert base.to_pair_set() == frozenset(base_pairs | other_pairs)
+        base = backend.from_pairs(n, base_pairs)
+        other = backend.from_pairs(n, other_pairs)
+        delta = base.union_update(other)
+        assert delta.to_pair_set() == frozenset(other_pairs - base_pairs)
+        assert base.to_pair_set() == frozenset(base_pairs | other_pairs)
 
     def test_transpose_matches_pairs(self):
         rng = random.Random(5)

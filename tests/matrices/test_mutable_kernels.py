@@ -9,6 +9,9 @@ Contracts under test, for every registered backend:
   included;
 * the value-semantics fallback serves matrices that never implemented
   the in-place kernels (third-party backend compatibility).
+
+The properties run on both forms of the sparse backend (see the
+``sparse_form`` fixture).
 """
 
 import pytest
@@ -32,7 +35,8 @@ pair_sets = st.sets(
 
 @given(target_pairs=pair_sets, other_pairs=pair_sets)
 @settings(max_examples=100, deadline=None)
-def test_union_update_returns_exact_delta(target_pairs, other_pairs):
+def test_union_update_returns_exact_delta(target_pairs, other_pairs,
+                                          sparse_form):
     for name in available_backends():
         backend = get_backend(name)
         target = backend.from_pairs(_SIZE, target_pairs)
@@ -47,7 +51,7 @@ def test_union_update_returns_exact_delta(target_pairs, other_pairs):
 
 @given(left_pairs=pair_sets, right_pairs=pair_sets)
 @settings(max_examples=100, deadline=None)
-def test_difference_is_set_difference(left_pairs, right_pairs):
+def test_difference_is_set_difference(left_pairs, right_pairs, sparse_form):
     for name in available_backends():
         backend = get_backend(name)
         left = backend.from_pairs(_SIZE, left_pairs)
@@ -61,7 +65,8 @@ def test_difference_is_set_difference(left_pairs, right_pairs):
 
 @given(left_pairs=pair_sets, right_pairs=pair_sets, accum_pairs=pair_sets)
 @settings(max_examples=100, deadline=None)
-def test_mxm_into_equals_multiply_union(left_pairs, right_pairs, accum_pairs):
+def test_mxm_into_equals_multiply_union(left_pairs, right_pairs, accum_pairs,
+                                        sparse_form):
     expected_product = {
         (i, j)
         for i, k in left_pairs
@@ -80,7 +85,7 @@ def test_mxm_into_equals_multiply_union(left_pairs, right_pairs, accum_pairs):
 
 @given(pairs=pair_sets)
 @settings(max_examples=50, deadline=None)
-def test_clone_is_independent(pairs):
+def test_clone_is_independent(pairs, sparse_form):
     for name in available_backends():
         backend = get_backend(name)
         original = backend.from_pairs(_SIZE, pairs)
