@@ -36,12 +36,26 @@ whose remaining supports are non-empty are exactly the ones one-step
 derivable from the survivors, and one ``initial_frontier`` closure run
 seeded with them restores everything still derivable.
 
+The batch path's state **stays in matrices**.  The solver keeps one
+closed matrix per non-terminal on its batch backend and hands it to
+every closure run, which leaves it closed for the next one; the new
+facts of a run are read off the non-terminals whose entry count moved,
+as a ``difference`` against a pre-run ``clone``, and DRed drops the
+over-deleted pairs with one ``difference`` per touched non-terminal.
+The matrices are built from the fact sets lazily, on the first batch
+(insert-only and read-only services that never batch never pay for
+them), and again only after a tuple-granular :meth:`~IncrementalCFPQ.add_edge`
+made them stale; new nodes only pad them.  The fact sets and their
+by-source / by-target indexes stay beside the matrices: over-deletion,
+:meth:`~IncrementalCFPQ.targets_from`, :meth:`~IncrementalCFPQ.export_state`
+and snapshots read them.
+
 The support index itself is **matrix-granular** by default
 (:class:`CountingSupportIndex`): supports live as counting-semiring
 annotations (:class:`repro.core.semiring.CountingSemiring`, cap 1) on
 per-non-terminal annotated matrices, built by one counting closure on
-the first deletion and maintained by the same ``union_update`` /
-``difference`` / ``mxm_into`` kernels every batch insertion and
+the first deletion and then closed in place, batch after batch, by the
+same ``union_update`` / ``mxm_into`` kernels every batch insertion and
 re-derivation already runs — one representation for derivation counting
 and deletion support.  The original tuple-set index survives as
 :class:`TupleSupportIndex` (``support_mode="tuples"``, or the
@@ -51,7 +65,8 @@ deletion; insertion-only workloads never pay for it.
 
 :class:`IncrementalSinglePathCFPQ` layers the Section-5 length
 annotations on the same engine: batches run the closure over the
-length-semiring adapter (:mod:`repro.core.semiring`), and deletions
+length-semiring adapter (:mod:`repro.core.semiring`), rebuilding its
+length matrices from the per-fact lengths on every batch, and deletions
 recompute the lengths of the affected facts from the surviving
 canonical lengths, so :meth:`~IncrementalSinglePathCFPQ.length_of`
 equals a from-scratch :class:`~repro.core.single_path.SinglePathIndex`
@@ -77,7 +92,8 @@ from ..graph.labeled_graph import Edge, LabeledGraph
 from ..obs.trace import get_tracer
 from .closure import run_closure
 from .relations import ContextFreeRelations
-from .semiring import SUPPORT_SEMIRING, AnnotatedBackend, CountingSemiring
+from .semiring import (SUPPORT_SEMIRING, AnnotatedBackend, AnnotatedMatrix,
+                       CountingSemiring)
 
 #: A derived fact ``(A, i, j)`` by dense node ids.
 Fact = tuple[Nonterminal, int, int]
@@ -180,7 +196,7 @@ class TupleSupportIndex:
         return {fact: set(entries)
                 for fact, entries in self._supports.items()}
 
-    def load(self, mapping: dict) -> None:
+    def load(self, solver: "IncrementalCFPQ", mapping: dict) -> None:
         self._supports = {
             fact: set(entries) for fact, entries in mapping.items()
         }
@@ -222,13 +238,16 @@ class CountingSupportIndex:
     The support of a fact *is* its counting-semiring annotation: a
     ``frozenset`` of ``(entry, count)`` pairs whose entry keys are
     exactly the tuple-set supports (``("edge", label)`` / ``("empty",)``
-    / ``("split", B, C, r)``).  The index is one annotated matrix per
-    non-terminal — built by a single counting-closure solve on the
-    first deletion, and advanced after every batch by the same
-    ``union_update``/``mxm_into`` kernels the relational closure runs,
-    with the batch's base facts (or the re-derivation survivors) as the
-    ``initial_frontier``.  Per-tuple inserts mutate cells directly, so
-    single-edge updates stay O(delta).
+    / ``("split", B, C, r)``).  The index is one persistent annotated
+    matrix per non-terminal (tagged ``symbol=nonterminal``), built by a
+    single counting-closure solve on the first deletion and kept across
+    batches: after every batch the same ``union_update``/``mxm_into``
+    kernels the relational closure runs close these matrices **in
+    place**, with the batch's base facts (or the re-derivation
+    survivors) as the ``initial_frontier``.  Per-tuple inserts and the
+    DRed over-deletion read and write single cells, so single-edge
+    updates stay O(delta).  The matrices are only re-shaped — never
+    rebuilt from another representation — when the node count grows.
 
     With the default cap-1 semiring (``SUPPORT_SEMIRING``) the values
     are *value-blind*: a cell gaining an extra derivation entry does not
@@ -240,126 +259,134 @@ class CountingSupportIndex:
 
     def __init__(self, semiring: CountingSemiring | None = None) -> None:
         self.semiring = semiring if semiring is not None else SUPPORT_SEMIRING
-        self._cells: dict[Nonterminal, dict[tuple[int, int], frozenset]] | None = None
+        self._matrices: dict[Nonterminal, AnnotatedMatrix] | None = None
 
     @property
     def active(self) -> bool:
-        return self._cells is not None
+        return self._matrices is not None
 
     def ensure(self, solver: "IncrementalCFPQ") -> None:
         """First deletion: one counting-semiring closure over the
         current graph yields every fact's full one-step support set."""
-        if self._cells is not None:
+        if self._matrices is not None:
             return
         from .semiring import solve_annotated
 
         result = solve_annotated(solver.graph, solver.grammar, self.semiring,
                                  strategy=solver.strategy, normalize=False,
                                  **solver.strategy_options)
-        self._cells = {
-            nonterminal: {(i, j): value
-                          for i, j, value in matrix.nonzero_cells()}
-            for nonterminal, matrix in result.matrices.items()
-        }
+        self._matrices = result.matrices
+
+    def _matrix(self, nonterminal: Nonterminal) -> AnnotatedMatrix:
+        assert self._matrices is not None
+        return self._matrices[nonterminal]
 
     def supports_of(self, fact: Fact) -> frozenset:
-        assert self._cells is not None
         nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        value = cells.get((i, j)) if cells is not None else None
-        return self.semiring.supports(value)
+        return self.semiring.supports(
+            self._matrix(nonterminal).value_at(i, j))
 
     def seed_fact(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
         nonterminal, i, j = fact
-        self._cells.setdefault(nonterminal, {})[(i, j)] = \
-            frozenset({(support, 1)})
+        self._matrix(nonterminal).set_value(i, j,
+                                            frozenset({(support, 1)}))
 
     def add_support(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
         nonterminal, i, j = fact
-        cells = self._cells.setdefault(nonterminal, {})
-        value = cells.get((i, j))
+        matrix = self._matrix(nonterminal)
+        value = matrix.value_at(i, j)
         if value is None:
             return
         merged, changed = self.semiring.merge(value,
                                               frozenset({(support, 1)}))
         if changed:
-            cells[(i, j)] = merged
+            matrix.set_value(i, j, merged)
 
     def discard(self, fact: Fact, support: Support) -> None:
-        assert self._cells is not None
         nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        value = cells.get((i, j)) if cells is not None else None
+        matrix = self._matrix(nonterminal)
+        value = matrix.value_at(i, j)
         if value is None:
             return
         trimmed = frozenset(item for item in value if item[0] != support)
         if trimmed != value:
-            cells[(i, j)] = trimmed  # type: ignore[index]
+            matrix.set_value(i, j, trimmed)
 
     def pop(self, fact: Fact) -> None:
-        assert self._cells is not None
         nonterminal, i, j = fact
-        cells = self._cells.get(nonterminal)
-        if cells is not None:
-            cells.pop((i, j), None)
+        self._matrix(nonterminal).pop_value(i, j)
 
     def entry_count(self) -> int:
-        if self._cells is None:
+        if self._matrices is None:
             return 0
         return sum(len(value)
-                   for cells in self._cells.values()
-                   for value in cells.values())
+                   for matrix in self._matrices.values()
+                   for _i, _j, value in matrix.nonzero_cells())
 
     def export(self) -> dict[Fact, set[Support]] | None:
-        if self._cells is None:
+        if self._matrices is None:
             return None
         return {
             (nonterminal, i, j): set(self.semiring.supports(value))
-            for nonterminal, cells in self._cells.items()
-            for (i, j), value in cells.items()
+            for nonterminal, matrix in self._matrices.items()
+            for i, j, value in matrix.nonzero_cells()
         }
 
-    def load(self, mapping: dict) -> None:
-        cells: dict[Nonterminal, dict[tuple[int, int], frozenset]] = {}
+    def load(self, solver: "IncrementalCFPQ", mapping: dict) -> None:
+        cells: dict[Nonterminal, dict[tuple[int, int], frozenset]] = {
+            nonterminal: {} for nonterminal in solver.grammar.nonterminals
+        }
         for (nonterminal, i, j), entries in mapping.items():
             cells.setdefault(nonterminal, {})[(i, j)] = \
                 frozenset((entry, 1) for entry in entries)
-        self._cells = cells
+        n = solver.graph.node_count
+        self._matrices = {
+            nonterminal: AnnotatedMatrix(self.semiring, (n, n), by_pair,
+                                         symbol=nonterminal)
+            for nonterminal, by_pair in cells.items()
+        }
+
+    def _resized(self, n: int) -> dict[Nonterminal, AnnotatedMatrix]:
+        """The support matrices at shape ``(n, n)``: the node count only
+        grows, and cell writes never check bounds, so a shape change
+        re-wraps the cells once instead of on every batch."""
+        assert self._matrices is not None
+        for nonterminal, matrix in self._matrices.items():
+            if matrix.shape != (n, n):
+                self._matrices[nonterminal] = AnnotatedMatrix(
+                    self.semiring, (n, n), matrix.nonzero_cells(),
+                    symbol=nonterminal)
+        return self._matrices
 
     def after_batch(self, solver: "IncrementalCFPQ",
                     support_seeds: dict | None,
                     new_facts: list[Fact]) -> None:
         """Advance the support matrices through the same frontier-seeded
-        closure the relational batch just ran: the seeds' base supports
-        merge into their cells, and every product fired off the
+        closure the relational batch just ran, in place: the seeds' base
+        supports merge into their cells, and every product fired off the
         presence delta contributes its ``("split", B, C, r)`` entry to
         the head cell — which is exactly the registration the tuple
         oracle does one set-mutation at a time."""
-        if self._cells is None or not support_seeds:
+        if self._matrices is None or not support_seeds:
             return
         backend = AnnotatedBackend(self.semiring)
         n = solver.graph.node_count
-        matrices = {
-            nonterminal: backend.from_cells(
-                (n, n), self._cells.get(nonterminal, {}), symbol=nonterminal)
-            for nonterminal in solver.grammar.nonterminals
-        }
         frontier = {
-            nonterminal: backend.from_cells((n, n), dict(cells),
+            nonterminal: backend.from_cells((n, n), cells,
                                             symbol=nonterminal)
             for nonterminal, cells in support_seeds.items()
         }
-        result = run_closure(matrices, solver._pair_rules, backend,
-                             strategy=solver.strategy,
-                             initial_frontier=frontier,
-                             **solver.strategy_options)
-        self._cells = {
-            nonterminal: {(i, j): value
-                          for i, j, value in matrix.nonzero_cells()}
-            for nonterminal, matrix in result.matrices.items()
-        }
+        try:
+            result = run_closure(self._resized(n), solver._pair_rules,
+                                 backend, strategy=solver.strategy,
+                                 initial_frontier=frontier,
+                                 **solver.strategy_options)
+        except BaseException:
+            # A half-merged frontier leaves no trustworthy supports:
+            # deactivate the index, the next deletion recounts it.
+            self._matrices = None
+            raise
+        self._matrices = result.matrices
 
 
 def _make_support_store(mode: str):
@@ -446,6 +473,14 @@ class IncrementalCFPQ:
         self._last_changes: dict[Nonterminal, frozenset[tuple[int, int]]] = {}
         self._initial_iterations = 0
 
+        #: The closed matrix of every non-terminal on the batch backend,
+        #: kept across batches (None until the first batch needs it, or
+        #: after a tuple-granular mutation made it stale).  It mirrors
+        #: ``_facts`` at shape ``_matrices_size``, which trails the node
+        #: count until the next batch pads it.
+        self._matrices: dict | None = None
+        self._matrices_size = -1
+
         if warm_state is not None:
             self._seed_from_state(warm_state)
         else:
@@ -479,7 +514,7 @@ class IncrementalCFPQ:
                 self._record(nonterminal, i, j)
         supports = state.get("supports")
         if supports is not None:
-            self._support_store.load(supports)
+            self._support_store.load(self, supports)
 
     def export_state(self) -> dict:
         """The solver's closed state as plain containers — the inverse
@@ -554,6 +589,9 @@ class IncrementalCFPQ:
         inserts stay O(delta) instead of re-running the batch path.
         """
         self._begin_change_log()
+        # The tuple path records facts one at a time, past the state
+        # matrices: the next batch rebuilds them from the fact sets.
+        self._matrices = None
         try:
             return self._add_edge(source, label, target)
         finally:
@@ -733,6 +771,7 @@ class IncrementalCFPQ:
             self._by_target[(nonterminal, j)].discard(i)
             self._on_fact_removed(fact)
             store.pop(fact)
+        self._drop_from_matrices(overdeleted)
 
         # Phase 2: re-derive from the survivors.
         with tracer.span("dred.rederive") as phase_span:
@@ -816,22 +855,81 @@ class IncrementalCFPQ:
         absorb and return the number of facts that appeared.
         *support_seeds* (counting-semiring cell values parallel to
         *seeds*, built only while the support index is active) advances
-        the DRed support store through the same frontier."""
+        the DRed support store through the same frontier.
+
+        The closure runs on the persistent state matrices and leaves
+        them closed for the next batch; the new facts are read off the
+        non-terminals whose entry count moved."""
         n = self.graph.node_count
+        backend = self._batch_backend()
         with get_tracer().span("frontier.run",
                                strategy=self.strategy) as span:
-            matrices = self._matrices_from_state(n)
-            result = run_closure(
-                matrices, self._pair_rules, self._batch_backend(),
-                strategy=self.strategy,
-                initial_frontier=self._seed_matrices(n, seeds),
-                **self.strategy_options)
+            matrices, rebuilt = self._state_matrices(n)
+            before = {nt: backend.clone(matrix)
+                      for nt, matrix in matrices.items()} \
+                if self._keeps_matrices else None
+            try:
+                result = run_closure(
+                    matrices, self._pair_rules, backend,
+                    strategy=self.strategy,
+                    initial_frontier=self._seed_matrices(n, seeds),
+                    **self.strategy_options)
+            except BaseException:
+                # The run may have merged part of the frontier: drop
+                # the matrices, the fact sets are still the truth.
+                self._matrices = None
+                raise
+            self._matrices = result.matrices if self._keeps_matrices else None
             self._batch_updates += 1
-            new_facts = self._absorb(result.matrices)
+            new_facts = self._absorb(result.matrices, before)
+            span.set("rebuilt", int(rebuilt))
             span.set("new_facts", len(new_facts))
         self._propagated_facts += len(new_facts)
         self._support_store.after_batch(self, support_seeds, new_facts)
         return len(new_facts)
+
+    #: Whether the closed state matrices persist across batches
+    #: (annotated subclasses rebuild them from their own state instead).
+    _keeps_matrices = True
+
+    def _state_matrices(self, n: int) -> tuple[dict, bool]:
+        """The closed per-non-terminal matrices at size *n*, and whether
+        they had to be built from the fact sets (first use, or after a
+        tuple-granular mutation).  New nodes carry no facts until a
+        batch seeds them, so a grown node count only pads the kept
+        matrices."""
+        if self._matrices is None:
+            self._matrices = self._matrices_from_state(n)
+            self._matrices_size = n
+            return self._matrices, True
+        if self._matrices_size != n:
+            backend = self._batch_backend()
+            self._matrices = {nt: backend.padded(matrix, n)
+                              for nt, matrix in self._matrices.items()}
+            self._matrices_size = n
+        return self._matrices, False
+
+    def closed_matrix(self, nonterminal: Nonterminal):
+        """The closed ``R_A`` matrix at the current node count, on the
+        solver's boolean backend.  The solver keeps writing it in place
+        on later updates: callers that hold on to it must copy it."""
+        matrices, _rebuilt = self._state_matrices(self.graph.node_count)
+        return matrices[nonterminal]
+
+    def _drop_from_matrices(self, facts: set[Fact]) -> None:
+        """Remove over-deleted *facts* from the state matrices: one
+        ``difference`` per touched non-terminal."""
+        if self._matrices is None:
+            return
+        matrices, _rebuilt = self._state_matrices(self.graph.node_count)
+        by_nonterminal: dict[Nonterminal, list[tuple[int, int]]] = {}
+        for nonterminal, i, j in facts:
+            by_nonterminal.setdefault(nonterminal, []).append((i, j))
+        backend = self._batch_backend()
+        n = self._matrices_size
+        for nonterminal, pairs in by_nonterminal.items():
+            matrices[nonterminal] = matrices[nonterminal].difference(
+                backend.from_pairs(n, pairs))
 
     def _batch_backend(self):
         from ..matrices.base import get_backend
@@ -852,18 +950,19 @@ class IncrementalCFPQ:
             for nt, cells in seeds.items()
         }
 
-    def _absorb(self, matrices: dict) -> list[Fact]:
-        """Record the closed matrices into the tuple indexes; returns
-        the facts that were not present before.  Index updates are
-        bulk-grouped by row/column so absorbing a large batch costs set
-        operations, not one ``_record`` call per fact."""
+    def _absorb(self, matrices: dict, before: "dict | None") -> list[Fact]:
+        """Record what the closure added to *matrices* since *before* (a
+        pre-run clone) into the tuple indexes; returns the new facts.
+        Closure only adds entries, so a non-terminal whose entry count
+        did not move is skipped, and the others cost one ``difference``
+        — never a read-back of the whole relation."""
         new_facts: list[Fact] = []
         for nonterminal, matrix in matrices.items():
-            known = self._facts[nonterminal]
-            fresh = matrix.to_pair_set() - known
-            if not fresh:
+            previous = before[nonterminal]
+            if matrix.nnz() == previous.nnz():
                 continue
-            known |= fresh
+            fresh = matrix.difference(previous).to_pair_set()
+            self._facts[nonterminal] |= fresh
             self._index_pairs(nonterminal, fresh)
             if self._change_recorder is not None:
                 self._change_recorder.setdefault(nonterminal, set()).update(fresh)
@@ -1082,10 +1181,19 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
     # ------------------------------------------------------------------
     # Batch hooks
     # ------------------------------------------------------------------
+    #: The length matrices are rebuilt from ``_lengths`` per batch.
+    _keeps_matrices = False
+
     def _batch_backend(self):
         from .semiring import LENGTH_SEMIRING, AnnotatedBackend
 
         return AnnotatedBackend(LENGTH_SEMIRING)
+
+    def closed_matrix(self, nonterminal: Nonterminal):
+        from ..matrices.base import get_backend
+
+        return get_backend(self.backend).from_pairs(
+            self.graph.node_count, self._facts.get(nonterminal, ()))
 
     def _matrices_from_state(self, n: int) -> dict:
         backend = self._batch_backend()
@@ -1106,7 +1214,7 @@ class IncrementalSinglePathCFPQ(IncrementalCFPQ):
             for nt, cells in seeds.items()
         }
 
-    def _absorb(self, matrices: dict) -> list[Fact]:
+    def _absorb(self, matrices: dict, before: dict | None) -> list[Fact]:
         new_facts: list[Fact] = []
         lengths = self._lengths
         for nonterminal, matrix in matrices.items():

@@ -504,6 +504,22 @@ class AnnotatedMatrix(BooleanMatrix):
     def nnz(self) -> int:
         return len(self._cells)
 
+    # -- single-cell writes -------------------------------------------------
+    def set_value(self, i: int, j: int, value) -> None:
+        """Set the annotation at (i, j) in place, making the cell True."""
+        self._cells[(i, j)] = value
+        self._rows_index.setdefault(i, set()).add(j)
+
+    def pop_value(self, i: int, j: int) -> None:
+        """Make (i, j) False in place (no-op when it already is)."""
+        if (i, j) not in self._cells:
+            return
+        del self._cells[(i, j)]
+        row = self._rows_index[i]
+        row.discard(j)
+        if not row:
+            del self._rows_index[i]
+
     # -- algebra ----------------------------------------------------------
     def multiply(self, other: BooleanMatrix) -> "AnnotatedMatrix":
         self._require_chainable(other)

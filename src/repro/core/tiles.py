@@ -55,7 +55,7 @@ import os
 from concurrent.futures import (Executor, ProcessPoolExecutor,
                                 ThreadPoolExecutor, as_completed)
 
-from ..errors import UnknownSchedulerError
+from ..errors import UnknownSchedulerError, UnregisteredSemiringError
 from ..matrices.base import BooleanMatrix, get_backend
 from ..obs.trace import get_tracer
 
@@ -283,16 +283,25 @@ class ProcessScheduler(TileScheduler):
     registrations (:func:`repro.core.semiring.register_semiring`,
     custom backends) are inherited by the workers; under ``spawn``
     (e.g. macOS default) workers re-import the library and only the
-    bundled backends/semirings resolve.
+    bundled backends/semirings resolve.  The scheduler remembers the
+    semiring registry names it created the pool with and raises
+    :class:`~repro.errors.UnregisteredSemiringError` before shipping an
+    annotated tile whose semiring is not among them.
     """
 
     name = "process"
 
     def __init__(self) -> None:
         self._executor: Executor | None = None
+        #: Semiring registry names at pool creation: the only annotated
+        #: payloads the forked workers can rebuild.
+        self._semirings: frozenset[str] = frozenset()
 
     def _pool(self) -> Executor:
         if self._executor is None:
+            from .semiring import SEMIRINGS
+
+            self._semirings = frozenset(SEMIRINGS)
             context = None
             if "fork" in multiprocessing.get_all_start_methods():
                 context = multiprocessing.get_context("fork")
@@ -314,6 +323,7 @@ class ProcessScheduler(TileScheduler):
                   for left, right in pair_keys)
             for _key, pair_keys in groups
         ]
+        self._check_semirings(payloads)
         chunksize = max(1, len(payloads) // (4 * _pool_workers()))
         tracer = get_tracer()
         if tracer.enabled:
@@ -341,6 +351,19 @@ class ProcessScheduler(TileScheduler):
         for (key, _pair_keys), result in zip(groups, results):
             sink(key, result)
         return None
+
+    def _check_semirings(self, payloads) -> None:
+        """Raise before dispatch when an annotated payload names a
+        semiring the workers were not forked with (they would fail with
+        a worker-side ``KeyError`` instead)."""
+        self._pool()
+        for payload_group in payloads:
+            for pair in payload_group:
+                for payload in pair:
+                    if (payload[0] == "annotated"
+                            and payload[1] not in self._semirings):
+                        raise UnregisteredSemiringError(payload[1],
+                                                        self._semirings)
 
 
 _SCHEDULERS: dict[str, TileScheduler] = {}

@@ -112,6 +112,23 @@ class UnknownSchedulerError(EngineError):
         )
 
 
+class UnregisteredSemiringError(EngineError):
+    """Raised when an annotated closure would ship tiles to process-pool
+    workers that cannot resolve its semiring: the workers know only the
+    registry names present when the pool was forked, so a semiring
+    registered later (or never) would fail on the worker side."""
+
+    def __init__(self, name: str, available: "frozenset[str] | list[str]"):
+        self.name = name
+        self.available = sorted(available)
+        super().__init__(
+            f"semiring {name!r} is not known to the process-pool workers "
+            f"(forked with: {', '.join(self.available)}); register it with "
+            "repro.core.semiring.register_semiring before the first "
+            "process-scheduled closure"
+        )
+
+
 class SemanticsError(EngineError):
     """Raised when an unsupported query semantics is requested."""
 

@@ -224,6 +224,13 @@ class MatrixBackend(abc.ABC):
         rows, cols = matrix.shape
         return self.from_pairs(rows, matrix.nonzero_pairs(), cols=cols)
 
+    def padded(self, matrix: BooleanMatrix, size: int) -> BooleanMatrix:
+        """A ``size``-square copy of *matrix* (``size`` at least its row
+        and column counts) whose extra rows and columns are all-False.
+        Never shares mutable storage with *matrix*.  Generic coordinate
+        rebuild; backends override with a storage-level extension."""
+        return self.from_pairs(size, matrix.nonzero_pairs())
+
     # -- row kernels (the batched mask path) ------------------------------
     def gather_rows(self, matrix: BooleanMatrix,
                     rows: Sequence[int]) -> BooleanMatrix:

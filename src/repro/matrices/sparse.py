@@ -327,6 +327,24 @@ class SparseBackend(MatrixBackend):
             matrix._csr,
         )
 
+    def padded(self, matrix: BooleanMatrix, size: int) -> SparseMatrix:
+        """Row sets are copied under the wider shape; a CSR gets its
+        ``indptr`` extended by the empty rows, with copies of its index
+        arrays."""
+        if not isinstance(matrix, SparseMatrix):
+            return super().padded(matrix, size)
+        rowset = matrix._rowset
+        if rowset is not None:
+            copy = _ROWSETS.clone(rowset)
+            return SparseMatrix._wrap(
+                RowSetMatrix._wrap((size, size), copy._rows, copy._nnz))
+        csr = matrix._csr
+        indptr = np.full(size + 1, csr.indptr[-1], dtype=csr.indptr.dtype)
+        indptr[:len(csr.indptr)] = csr.indptr
+        return SparseMatrix._wrap(None, sp.csr_matrix(
+            (csr.data.copy(), csr.indices.copy(), indptr),
+            shape=(size, size)))
+
     def gather_rows(self, matrix: BooleanMatrix, rows) -> SparseMatrix:
         matrix = _coerce(matrix)
         if matrix._rowset is not None:

@@ -606,7 +606,7 @@ class QueryService:
         return padded
 
     def _closed_batch_matrices(self, rows_needed: int) -> dict:
-        """The solver's closed facts padded to ``n + capacity`` rows,
+        """The solver's closed matrices padded to ``n + capacity`` rows,
         cached per nonterminal so consecutive batches skip the rebuild.
         Called under the read lock; tick() (writer) invalidates changed
         nonterminals, so cached entries are always the current fixpoint.
@@ -623,8 +623,8 @@ class QueryService:
             backend = get_backend(self.backend)
             for nonterminal in solver.grammar.nonterminals:
                 if nonterminal not in self._batch_matrices:
-                    self._batch_matrices[nonterminal] = backend.from_pairs(
-                        size, solver.pairs(nonterminal))
+                    self._batch_matrices[nonterminal] = backend.padded(
+                        solver.closed_matrix(nonterminal), size)
             return dict(self._batch_matrices)
 
     def _evaluate(self, start, source, target, semantics: str):

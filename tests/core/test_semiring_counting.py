@@ -39,6 +39,7 @@ from repro.core.semiring import (  # noqa: E402
     SUPPORT_SEMIRING,
     WITNESS_SEMIRING,
     CountingSemiring,
+    register_semiring,
     solve_annotated,
 )
 from repro.grammar.cfg import CFG  # noqa: E402
@@ -48,6 +49,12 @@ from repro.grammar.symbols import Nonterminal, Terminal  # noqa: E402
 from repro.graph.labeled_graph import LabeledGraph  # noqa: E402
 
 SEEDS = tuple(range(8))
+
+#: A small-cap instance for the cross-strategy test.  Registered at
+#: import, before any test runs: the ``blocked`` strategy under
+#: ``REPRO_SCHEDULER=process`` ships its tiles to forked workers, which
+#: resolve the semiring by registry name.
+TEST_64 = register_semiring(CountingSemiring(cap=64, name="counting[test-64]"))
 _LABELS = ("a", "b")
 _NONTERMINALS = ("S", "A", "B")
 
@@ -154,7 +161,7 @@ class TestClosureCountsAgainstBruteForce:
         # A small cap keeps cyclic seeds fast: saturation is reached in
         # O(cap) refinement rounds when counts grow linearly (the same
         # hazard that keeps DEFAULT_COUNTING_CAP small).
-        semiring = CountingSemiring(cap=64, name="counting[test-64]")
+        semiring = TEST_64
         graph, grammar = make_case(seed)
         baseline = None
         for strategy in STRATEGIES:

@@ -20,6 +20,8 @@ from repro.core.matrix_cfpq import solve_matrix
 from repro.core.semiring import (
     LENGTH_SEMIRING,
     WITNESS_SEMIRING,
+    CountingSemiring,
+    register_semiring,
     solve_annotated,
 )
 from repro.core.tiles import (
@@ -29,7 +31,7 @@ from repro.core.tiles import (
     resolve_scheduler,
     tile_payload_of,
 )
-from repro.errors import UnknownSchedulerError
+from repro.errors import UnknownSchedulerError, UnregisteredSemiringError
 from repro.matrices.base import available_backends, get_backend
 
 from test_semiring_differential import make_case
@@ -296,6 +298,27 @@ def test_process_scheduler_payload_encodes_cached():
     uncached_encodes = uncached.stats.details["blocked"].payload_encodes
     assert cached_encodes > 0
     assert uncached_encodes > cached_encodes
+
+
+@pytest.mark.parametrize("register_late", [False, True])
+def test_process_scheduler_rejects_semiring_unknown_to_workers(
+        register_late):
+    """A semiring the pool's workers were not forked with fails in the
+    parent with a typed error before any tile is dispatched — never
+    registered, or registered only after the pool exists."""
+    graph, grammar = make_case(6)
+    # Make sure the shared pool exists before the registration below.
+    solve_matrix(graph, grammar, backend="bitset", normalize=False,
+                 strategy="blocked", tile_size=2, scheduler="process")
+    semiring = CountingSemiring(
+        cap=3, name=f"counting[late-{int(register_late)}]")
+    if register_late:
+        register_semiring(semiring)
+    with pytest.raises(UnregisteredSemiringError) as excinfo:
+        solve_annotated(graph, grammar, semiring, strategy="blocked",
+                        tile_size=2, scheduler="process")
+    assert excinfo.value.name == semiring.name
+    assert "support-count" in excinfo.value.available
 
 
 # ----------------------------------------------------------------------

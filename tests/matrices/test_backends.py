@@ -204,3 +204,24 @@ def test_multiply_distributes_over_union(a, b, c):
     left = ma.union(mb).multiply(mc).to_pair_set()
     right = ma.multiply(mc).union(mb.multiply(mc)).to_pair_set()
     assert left == right
+
+
+@given(pairs=pair_sets, extra=st.integers(0, 4))
+@settings(max_examples=50, deadline=None)
+def test_padded_copies_into_a_wider_shape(pairs, extra, sparse_form):
+    """``padded`` keeps the entries, widens the shape with empty rows
+    and columns, and shares no mutable storage with its source: writes
+    to either side after the copy never show on the other."""
+    for name in available_backends():
+        backend = get_backend(name)
+        matrix = backend.from_pairs(_SIZE, pairs)
+        size = _SIZE + extra
+        padded = backend.padded(matrix, size)
+        assert padded.shape == (size, size), name
+        assert padded.to_pair_set() == pairs, name
+        padded, _delta = backend.union_update(padded, backend.from_pairs(
+            size, [(size - 1, size - 1), (0, 0)]))
+        assert matrix.to_pair_set() == pairs, name
+        backend.union_update(matrix, backend.from_pairs(_SIZE, [(1, 2)]))
+        assert padded.to_pair_set() == pairs | {(size - 1, size - 1),
+                                                (0, 0)}, name

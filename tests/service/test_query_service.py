@@ -432,3 +432,57 @@ class TestConcurrency:
                 thread.join()
         assert not errors
         assert service.query("S", 0, 30) is True
+
+
+class TestPersistentTickState:
+    """Update ticks keep the solver's closed matrices and the support
+    matrices: after the warm-up no tick builds them again from the fact
+    sets, which a change re-adding the per-batch rebuild fails here
+    deterministically, not only in timings."""
+
+    def test_ticks_rebuild_nothing(self, monkeypatch):
+        from repro.core.semiring import AnnotatedBackend
+        from repro.datasets.registry import build_graph
+        from repro.obs.trace import MemorySink, configure_tracing, \
+            reset_tracing
+
+        graph = build_graph("funding", use_cache=False)
+        service = QueryService(graph, same_generation_query1())
+        pool = random.Random(0).sample(sorted(graph.edges(), key=repr), 11)
+        # Warm-up: the first deletion builds the support store, the
+        # first batch the state matrices.
+        service.tick([("delete", pool[0])])
+        service.tick([("insert", pool[0])])
+        facts = service.solver._facts
+        largest = max(len(pairs) for pairs in facts.values())
+
+        built_cells: list[int] = []
+        from_cells = AnnotatedBackend.from_cells
+
+        def recording_from_cells(self, shape, cells, symbol=None):
+            built_cells.append(len(cells))
+            return from_cells(self, shape, cells, symbol=symbol)
+
+        monkeypatch.setattr(AnnotatedBackend, "from_cells",
+                            recording_from_cells)
+        sink = MemorySink()
+        configure_tracing(sink=sink)
+        try:
+            for k in range(1, 11):
+                ops = [("delete", pool[k])]
+                if k > 1:
+                    ops.append(("insert", pool[k - 1]))
+                service.tick(ops)
+        finally:
+            reset_tracing()
+        runs = [record for record in sink.drain()
+                if record["name"] == "frontier.run"]
+        assert len(runs) >= 10
+        assert [run["attrs"]["rebuilt"] for run in runs] == [0] * len(runs)
+        # Only the per-tick seed frontiers are built from cells; a
+        # rebuild of the support state would pass the full cells of
+        # the largest non-terminal.
+        assert max(built_cells, default=0) < largest // 4
+        scratch = solve_matrix_relations(service.graph,
+                                         same_generation_query1())
+        assert service.solver.relations().same_as(scratch)
